@@ -197,8 +197,11 @@ def _pipeline(args: argparse.Namespace) -> None:
     )
 
 
-def _dist_run(args: argparse.Namespace) -> None:
-    """Run the pipeline as a real SPMD job and validate it end to end."""
+def _dist_run(args: argparse.Namespace) -> int:
+    """Run the pipeline as a real SPMD job and validate it end to end.
+
+    Exits 1 when the result is not bitwise identical to ``run_serial``.
+    """
     import numpy as np
 
     from repro.dist.launcher import default_spectrum, dist_run
@@ -240,6 +243,7 @@ def _dist_run(args: argparse.Namespace) -> None:
         ["elapsed (s)", f"{report.elapsed_s:.3f}"],
     ]
     print(format_table(["quantity", "value"], rows, title="dist-run"))
+    return 0 if bitwise else 1
 
 
 def _lint(args: argparse.Namespace) -> int:
@@ -658,7 +662,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.experiment == "serve-bench":
             _serve_bench(args)
         elif args.experiment == "dist-run":
-            _dist_run(args)
+            return _dist_run(args)
         elif args.experiment == "all":
             for name in sorted(COMMANDS):
                 print(f"\n================ {name} ================")

@@ -45,7 +45,6 @@ from repro.core.batch import BatchConvolver, BatchResult
 from repro.core.checkpoint import (
     checkpoint_from_bytes,
     checkpoint_to_bytes,
-    recover_missing,
 )
 from repro.core.linear_conv import (
     LinearConvolution3D,
@@ -102,5 +101,4 @@ __all__ = [
     "reference_linear_convolve",
     "checkpoint_to_bytes",
     "checkpoint_from_bytes",
-    "recover_missing",
 ]

@@ -13,8 +13,6 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.core.decomposition import SubDomain
 from repro.errors import ConfigurationError
 from repro.octree.compress import CompressedField
@@ -133,30 +131,4 @@ def checkpoint_from_bytes(blob: Blob) -> Dict[int, CompressedField]:
             f"corrupt checkpoint: {len(blob) - offset} trailing bytes after "
             f"{count} entries (offset {offset})"
         )
-    return out
-
-
-def recover_missing(
-    checkpoint: Dict[int, CompressedField],
-    decomposition,
-    field: np.ndarray,
-    local_conv,
-    policy,
-) -> List[Tuple[SubDomain, CompressedField]]:
-    """Rebuild the full per-domain result list from a partial checkpoint.
-
-    Sub-domains present in the checkpoint are restored; missing ones (the
-    failed rank's chunks) are recomputed with ``local_conv``.  Zero chunks
-    are skipped exactly as the pipeline does.
-    """
-    out: List[Tuple[SubDomain, CompressedField]] = []
-    for sub in decomposition:
-        block = decomposition.extract(field, sub)
-        if not np.any(block):
-            continue
-        if sub.index in checkpoint:
-            out.append((sub, checkpoint[sub.index]))
-        else:
-            pattern = policy.pattern_for(decomposition.n, sub.size, sub.corner)
-            out.append((sub, local_conv.convolve(block, sub.corner, pattern=pattern)))
     return out

@@ -20,17 +20,20 @@ Layers, bottom up:
   localhost sockets).
 - :mod:`repro.dist.heartbeat` — liveness tracking for rank-failure
   detection.
-- :mod:`repro.dist.collectives` — :class:`Communicator`: tagged
-  point-to-point plus ``broadcast`` / ``sparse_allgather`` / ``alltoall``.
-- :mod:`repro.dist.worker` — what one rank executes: warm
+- :mod:`repro.dist.collectives` — :class:`Communicator`, the one
+  communicator: tagged point-to-point plus ``broadcast`` /
+  ``sparse_allgather`` / ``alltoall``, parking out-of-phase frames.
+- :mod:`repro.dist.worker` — ``rank_main``, the one rank program: warm
   pruned-plan local convolutions of its round-robin sub-domains, octree
   compression, :mod:`repro.octree.serialize` payloads through the wire,
-  block accumulation (bitwise identical to ``run_serial``).
-- :mod:`repro.dist.runtime` — spawns the ranks (threads for ``local``,
-  processes for ``tcp``) and shuttles bootstrap/checkpoint/result
-  messages.
-- :mod:`repro.dist.launcher` — :func:`dist_run`: the driver; survives a
-  rank death by recovering from the shipped checkpoints, cross-validates
+  block accumulation (bitwise identical to ``run_serial``); with
+  ``restore=`` it resumes from a merged checkpoint.
+- :mod:`repro.dist.runtime` — runs the ranks as threads on an
+  in-process fabric and collects checkpoint/result posts.
+- :mod:`repro.dist.launcher` — :func:`dist_run`: the driver (threads for
+  ``local``, an ephemeral :class:`~repro.pool.RankPool` for ``tcp``);
+  survives a rank death through the one recovery path, a restore run of
+  the rank program from the posted checkpoints; cross-validates
   measured wire bytes against the Eq 6 cost model.
 
 ``python -m repro dist-run --ranks 4 --transport tcp`` runs the whole
@@ -43,7 +46,6 @@ from repro.dist.launcher import (
     assemble_blocks,
     dist_run,
     expected_exchange_value_bytes,
-    recover_from_checkpoints,
     simulated_crosscheck,
 )
 from repro.dist.ledger import (
@@ -78,7 +80,6 @@ __all__ = [
     "expected_exchange_value_bytes",
     "merge_wire_snapshots",
     "normalize_endpoints",
-    "recover_from_checkpoints",
     "sent_wire_bytes",
     "simulated_crosscheck",
 ]

@@ -8,23 +8,29 @@ endpoint with the operations the pipeline needs:
 - ``broadcast`` — root fans a payload to every rank (input distribution);
 - ``sparse_allgather`` — every rank ships its payload to every peer and
   receives all of theirs: *the* single sparse accumulation exchange of
-  the paper (Fig 1(b)), implemented deadlock-free on the transport's
-  ``exchange`` primitive;
+  the paper (Fig 1(b));
 - ``alltoall`` — per-destination payloads, for baselines and tests;
-- ``barrier`` — empty exchange.
+- ``barrier`` — empty alltoall.
 
-The library's algorithms are bulk-synchronous (one collective in flight
-per phase, discriminated by tag), which keeps matching simple: frames
-from an unexpected phase are a protocol error, not a reordering case.
+It is the one communicator for one-shot runs and the standing pool
+alike.  Frames are matched on (source, tag); a frame that belongs to a
+later phase (a fast peer's next collective, or the next job on a
+standing mesh) is *parked*, never dropped, and every receive consults
+the parked list before touching the wire.  Per-pair FIFO ordering (both
+transports guarantee it) plus identical collective sequences on every
+rank make (src, tag) matching sufficient.  Sends of the all-to-peers
+collectives drain through a :class:`~repro.dist.transport.SendWindow`
+while this thread receives, so no payload size can deadlock them.
+
 Heartbeat frames are consumed here and fed to the
 :class:`~repro.dist.heartbeat.HeartbeatMonitor`, so prolonged peer
 silence surfaces as :class:`~repro.errors.RankFailure` even while a
-receive is blocked.
+receive is blocked.  Every deadline runs on an injected
+:class:`~repro.serve.clock.Clock`.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from repro.dist.heartbeat import HeartbeatMonitor, HeartbeatSender
@@ -37,6 +43,7 @@ from repro.dist.ledger import (
 from repro.dist.transport import Transport
 from repro.dist.wire import Frame, FrameKind, FramePayload
 from repro.errors import CommunicationError, RankFailure, TransportError
+from repro.serve.clock import Clock, MonotonicClock
 
 #: Tags for the pipeline's bulk-synchronous phases.  This block is the
 #: *central wire-tag registry* (TAG001): every ``TAG_*`` constant lives
@@ -49,8 +56,8 @@ TAG_BARRIER = 4
 #: End-of-stream marker for the streamed exchange: one empty frame per
 #: peer closes that peer's chunk stream.
 TAG_EXCHANGE_END = 5
-#: Broadcast tag for the merged checkpoint blob of a pool recovery job
-#: (used by ``repro.pool.jobs``, re-exported there for compatibility).
+#: Broadcast tag for the merged checkpoint blob a restore run resumes
+#: from (see ``repro.dist.worker.rank_main``).
 TAG_POOL_CHECKPOINT = 6
 
 #: Slice size for receive waits so the heartbeat monitor is consulted
@@ -71,6 +78,8 @@ class Communicator:
         Beacon interval; ``None`` disables heartbeating (the EOF-based
         crash detection in the transports still applies).  When enabled,
         peers silent for ``4 *`` this interval are declared failed.
+    clock:
+        Time source of every receive deadline (injectable for tests).
     """
 
     def __init__(
@@ -78,9 +87,11 @@ class Communicator:
         transport: Transport,
         recv_timeout_s: float = 30.0,
         heartbeat_s: Optional[float] = None,
+        clock: Optional[Clock] = None,
     ):
         self.transport = transport
         self.recv_timeout_s = float(recv_timeout_s)
+        self.clock = clock if clock is not None else MonotonicClock()
         self.monitor: Optional[HeartbeatMonitor] = None
         self._sender: Optional[HeartbeatSender] = None
         peers = [r for r in range(transport.size) if r != transport.rank]
@@ -135,11 +146,9 @@ class Communicator:
         for i, parked in enumerate(self._parked):
             if parked.src == src and parked.tag == tag:
                 return self._parked.pop(i).payload
-        import time as _time
-
-        deadline = _time.monotonic() + deadline_budget
+        deadline = self.clock.now() + deadline_budget
         while True:
-            remaining = deadline - _time.monotonic()
+            remaining = deadline - self.clock.now()
             if remaining <= 0:
                 raise TransportError(
                     f"rank {self.rank}: receive of tag {tag} from rank {src} "
@@ -161,6 +170,80 @@ class Communicator:
     def _note(self, frame: Frame) -> None:
         if self.monitor is not None:
             self.monitor.record(frame.src)
+
+    def _swap(
+        self,
+        outgoing: Dict[int, FramePayload],
+        tag: int,
+        category: str,
+    ) -> Dict[int, FramePayload]:
+        """Send one payload to each peer in ``outgoing`` and receive one
+        ``tag`` frame from each; returns ``{src: payload}``.
+
+        Sends drain through a send window while this thread receives
+        (immune to kernel-buffer deadlock); receives match on (src, tag),
+        parking every other frame for the phase it belongs to.
+        """
+        peers = sorted(outgoing)
+        pending = set(peers)
+        got: Dict[int, FramePayload] = {}
+        for parked in list(self._parked):
+            if parked.src in pending and parked.tag == tag:
+                self._parked.remove(parked)
+                got[parked.src] = parked.payload
+                pending.discard(parked.src)
+        if not peers:
+            return got
+        window = self.transport.send_window(window=1, name="swap")
+        try:
+            window.submit(
+                [
+                    (dst, Frame(FrameKind.DATA, self.rank, tag, outgoing[dst]), category)
+                    for dst in peers
+                ]
+            )
+            deadline = self.clock.now() + self.recv_timeout_s
+            while pending:
+                remaining = deadline - self.clock.now()
+                if remaining <= 0:
+                    raise TransportError(
+                        f"rank {self.rank}: collective (tag {tag}) timed out "
+                        f"after {self.recv_timeout_s}s with ranks "
+                        f"{sorted(pending)} still silent"
+                    )
+                try:
+                    frame = self.transport.recv(
+                        min(remaining, _POLL_SLICE_S), category
+                    )
+                except TransportError:
+                    if self.monitor is not None:
+                        self.monitor.check()
+                    continue  # re-check overall deadline
+                self._note(frame)
+                if frame.kind == FrameKind.HEARTBEAT:
+                    continue
+                if frame.kind == FrameKind.BYE:
+                    if frame.src in pending:
+                        raise RankFailure(
+                            f"rank {frame.src} said BYE while rank "
+                            f"{self.rank} still expected its collective "
+                            f"payload (tag {tag})"
+                        )
+                    continue
+                if frame.src in pending and frame.tag == tag:
+                    got[frame.src] = frame.payload
+                    pending.discard(frame.src)
+                else:
+                    self._parked.append(frame)
+        except BaseException:
+            # receive-side failure is primary; still reap the pump thread
+            try:
+                window.close(timeout=self.recv_timeout_s)
+            except (TransportError, RankFailure, CommunicationError):
+                pass
+            raise
+        window.close(timeout=self.recv_timeout_s)
+        return got
 
     # -- collectives --------------------------------------------------------
     def broadcast(
@@ -200,25 +283,7 @@ class Communicator:
         counted under the ``exchange`` category — these are exactly the
         bytes Eq 6 models.
         """
-        peers = {r for r in range(self.size) if r != self.rank}
-        outgoing = {
-            dst: Frame(FrameKind.DATA, self.rank, tag, payload) for dst in peers
-        }
-        got = self.transport.exchange(
-            outgoing, peers, self.recv_timeout_s, category
-        )
-        for src, frame in got.items():
-            if frame.tag != tag:
-                raise CommunicationError(
-                    f"rank {self.rank}: exchange frame from rank {src} has "
-                    f"tag {frame.tag}, expected {tag}"
-                )
-            self._note(frame)
-        result: List[bytes] = [b""] * self.size
-        result[self.rank] = payload
-        for src, frame in got.items():
-            result[src] = frame.payload
-        return result
+        return self.alltoall([payload] * self.size, tag=tag, category=category)
 
     def sparse_allgather_stream(
         self,
@@ -250,25 +315,16 @@ class Communicator:
         payloads: List[FramePayload],
         tag: int = TAG_EXCHANGE,
         category: str = CATEGORY_DATA,
-    ) -> List[bytes]:
+    ) -> List[FramePayload]:
         """Variable payload per destination; returns per-source payloads."""
         if len(payloads) != self.size:
             raise CommunicationError(
                 f"alltoall needs one payload per rank ({self.size}), "
                 f"got {len(payloads)}"
             )
-        peers = {r for r in range(self.size) if r != self.rank}
-        outgoing = {
-            dst: Frame(FrameKind.DATA, self.rank, tag, payloads[dst])
-            for dst in peers
-        }
-        got = self.transport.exchange(outgoing, peers, self.recv_timeout_s, category)
-        result: List[bytes] = [b""] * self.size
-        result[self.rank] = payloads[self.rank]
-        for src, frame in got.items():
-            self._note(frame)
-            result[src] = frame.payload
-        return result
+        outgoing = {dst: p for dst, p in enumerate(payloads) if dst != self.rank}
+        got = self._swap(outgoing, tag, category)
+        return [got.get(src, p) for src, p in enumerate(payloads)]
 
     def barrier(self, tag: int = TAG_BARRIER) -> None:
         """Block until every rank has entered the barrier."""
@@ -411,9 +467,9 @@ class StreamedAllgather:
             elif parked.tag == self.end_tag and parked.src in pending:
                 self.comm._parked.remove(parked)
                 pending.discard(parked.src)
-        deadline = time.monotonic() + budget
+        deadline = self.comm.clock.now() + budget
         while pending:
-            remaining = deadline - time.monotonic()
+            remaining = deadline - self.comm.clock.now()
             if remaining <= 0:
                 raise TransportError(
                     f"rank {self.comm.rank}: streamed exchange timed out "

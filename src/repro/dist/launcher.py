@@ -1,14 +1,19 @@
 """The dist-run driver: launch ranks, validate bytes, survive failures.
 
 :func:`dist_run` executes the full low-communication pipeline as a real
-SPMD job (see :mod:`repro.dist.runtime`), then:
+SPMD job — threads on an in-process fabric for ``local``
+(:mod:`repro.dist.runtime`), an ephemeral standing pool of agent
+processes for ``tcp`` (:class:`~repro.pool.RankPool`: spawn, connect,
+submit, down) — then:
 
 - assembles the global result from the per-rank blocks (bitwise identical
   to ``run_serial`` — asserted by the test suite and the CLI);
-- if any rank died, recovers from the checkpoint blobs the ranks posted
-  before the exchange: survivors' compressed results restore, the dead
-  rank's sub-domains are recomputed, and the accumulation is re-run
-  driver-side — still bitwise identical;
+- if any rank died, re-runs the job as a *restore run* of the same rank
+  program (:func:`restore_point`): the checkpoint blobs the ranks posted
+  before the exchange are merged and broadcast, and only the missing
+  sub-domains are recomputed — still bitwise identical.  The ``local``
+  transport re-runs on a fresh fabric; the pool hands off in-mesh to a
+  replacement agent;
 - cross-validates the measured exchange traffic against the paper's Eq 6
   cost model: the exchanged *value* bytes are predicted exactly
   (``(P-1) * itemsize * total sample count``), and the full wire volume
@@ -21,16 +26,17 @@ SPMD job (see :mod:`repro.dist.runtime`), then:
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional
+from dataclasses import replace as dataclass_replace
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.cluster.comm import SimulatedComm
 from repro.cluster.cost import sparse_sample_count
-from repro.core.accumulate import accumulate_global
-from repro.core.checkpoint import checkpoint_from_bytes, recover_missing
+from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
 from repro.core.decomposition import DomainDecomposition
 from repro.dist.ledger import merge_wire_snapshots
 from repro.dist.runtime import run_spmd
@@ -40,9 +46,8 @@ from repro.dist.worker import (
     build_pipeline,
     composite_field,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RankFailure
 from repro.kernels.gaussian import GaussianKernel
-from repro.octree.compress import CompressedField
 from repro.serve.loadgen import parse_policy
 
 _PRECISION_BYTES = {"float64": 8, "float32": 4}
@@ -174,47 +179,38 @@ def assemble_blocks(
     return approx
 
 
-def recover_from_checkpoints(
-    config: DistConfig,
-    field: np.ndarray,
-    spectrum: np.ndarray,
-    checkpoint_blobs: List[bytes],
-) -> np.ndarray:
-    """Public alias of the driver-side recovery path (see :func:`_recover`).
+@dataclass(frozen=True)
+class RestorePoint:
+    """What a restore run resumes from after a failed attempt."""
 
-    The pool controller falls back to this when a job loses so many
-    ranks that in-mesh handoff is impossible (e.g. the roster cannot be
-    refilled); it produces the same bitwise-identical result from
-    whatever checkpoints were posted.
+    #: merged checkpoint of every blob the failed attempt posted
+    checkpoint: bytes
+    #: sub-domain indices the checkpoint holds (the retry neither
+    #: recomputes nor exchanges them)
+    restored: frozenset
+    #: the job's config with fault injection cleared, so the retry does
+    #: not re-inject the fault that killed the attempt
+    config: DistConfig
+
+
+def restore_point(config: DistConfig, blobs: Iterable[bytes]) -> RestorePoint:
+    """Merge a failed attempt's posted checkpoint blobs into a restore point.
+
+    ``blobs`` mixes whole-run blobs (barrier mode) and per-chunk blobs
+    (overlap mode) freely — every one restores one or more sub-domains.
     """
-    return _recover(config, field, spectrum, checkpoint_blobs)
-
-
-def _recover(
-    config: DistConfig,
-    field: np.ndarray,
-    spectrum: np.ndarray,
-    checkpoint_blobs: List[bytes],
-) -> np.ndarray:
-    """Driver-side recovery: restore from checkpoints, recompute the rest.
-
-    ``checkpoint_blobs`` mixes whole-run blobs (barrier mode) and
-    per-chunk blobs (overlap mode) freely — every entry restores one or
-    more sub-domains, and whatever is missing is recomputed.  A rank that
-    died mid-exchange in overlap mode therefore only costs recomputing
-    the chunks it had not yet posted.
-    """
-    pipeline = build_pipeline(config, spectrum)
-    merged: Dict[int, CompressedField] = {}
-    for blob in checkpoint_blobs:
+    merged = {}
+    for blob in blobs:
         merged.update(checkpoint_from_bytes(blob))
-    per_domain = recover_missing(
-        merged, pipeline.decomposition, field, pipeline.local, pipeline.policy
+    decomp = DomainDecomposition(n=config.n, k=config.k)
+    checkpoint = checkpoint_to_bytes(
+        [(decomp.subdomain(i), f) for i, f in sorted(merged.items())],
+        precision=config.precision,
     )
-    if not per_domain:
-        return np.zeros((config.n,) * 3, dtype=np.float64)
-    return accumulate_global(
-        [f for _sub, f in per_domain], method=config.interpolation
+    return RestorePoint(
+        checkpoint=checkpoint,
+        restored=frozenset(merged),
+        config=dataclass_replace(config, fail_rank=None, fail_stage=None),
     )
 
 
@@ -235,43 +231,69 @@ def dist_run(
         spectrum = default_spectrum(config)
 
     t0 = time.perf_counter()
-    outcome = run_spmd(config, field, spectrum)
-
-    if outcome.clean:
-        approx = assemble_blocks(config, outcome.results)
-        recovered = False
+    if config.transport == "tcp":
+        pooled = _run_on_pool(config, field, spectrum)
+        approx, results = pooled.approx, pooled.rank_results
+        failed_ranks = pooled.failed_ranks
+        predicted = pooled.predicted_value_bytes
     else:
-        approx = _recover(
-            config, field, spectrum, outcome.all_checkpoint_blobs()
+        outcome = run_spmd(config, field, spectrum)
+        failed_ranks = sorted(outcome.failures)
+        restored: frozenset = frozenset()
+        if not outcome.clean:
+            point = restore_point(config, outcome.all_checkpoint_blobs())
+            outcome = run_spmd(
+                point.config, field, spectrum, restore=point.checkpoint
+            )
+            if not outcome.clean:
+                raise RankFailure(
+                    f"restore run failed on ranks {sorted(outcome.failures)}: "
+                    f"{outcome.failures}"
+                )
+            restored = point.restored
+        results = outcome.results
+        approx = assemble_blocks(config, results)
+        predicted = expected_exchange_value_bytes(
+            config, field, exclude_indices=restored or None
         )
-        recovered = True
     elapsed = time.perf_counter() - t0
 
-    wire_totals = merge_wire_snapshots(
-        [r.wire for r in outcome.results.values()]
-    )
+    wire_totals = merge_wire_snapshots([r.wire for r in results.values()])
     return DistRunReport(
         approx=approx,
         config=config,
         elapsed_s=elapsed,
-        failed_ranks=sorted(outcome.failures),
-        recovered=recovered,
-        rank_results=outcome.results,
+        failed_ranks=failed_ranks,
+        recovered=bool(failed_ranks),
+        rank_results=results,
         wire_totals=wire_totals,
         exchange_wire_bytes=wire_totals.get("sent.exchange.bytes", 0),
-        predicted_value_bytes=expected_exchange_value_bytes(config, field),
+        predicted_value_bytes=predicted,
         naive_eq6_bytes=naive_eq6_bytes(config),
-        max_compute_s=max(
-            (r.compute_s for r in outcome.results.values()), default=0.0
-        ),
-        max_exchange_s=max(
-            (r.exchange_s for r in outcome.results.values()), default=0.0
-        ),
+        max_compute_s=max((r.compute_s for r in results.values()), default=0.0),
+        max_exchange_s=max((r.exchange_s for r in results.values()), default=0.0),
         max_exchange_hidden_s=max(
-            (r.exchange_hidden_s for r in outcome.results.values()),
-            default=0.0,
+            (r.exchange_hidden_s for r in results.values()), default=0.0
         ),
     )
+
+
+def _run_on_pool(config: DistConfig, field: np.ndarray, spectrum: np.ndarray):
+    """One job on an ephemeral pool: spawn, connect, submit, down."""
+    from repro.pool.pool import RankPool  # the pool builds on this module
+
+    with tempfile.TemporaryDirectory(prefix="repro-dist-") as rendezvous:
+        pool = RankPool(
+            f"file://{rendezvous}",
+            recv_timeout_s=config.recv_timeout_s,
+            heartbeat_s=config.heartbeat_s,
+        )
+        try:
+            pool.spawn(config.num_ranks)
+            pool.connect(config.num_ranks)
+            return pool.submit(config, field=field, spectrum=spectrum)
+        finally:
+            pool.down()
 
 
 def simulated_crosscheck(

@@ -20,9 +20,10 @@ retry schedule is unit-testable without wall-clock sleeps.
 Concurrency: frames may be written by the application thread and the
 heartbeat thread simultaneously, so each peer socket has a write lock and
 each frame is written while holding it (frames never interleave).
-:meth:`TcpTransport.exchange` runs its sends on a helper thread while the
-caller drains receives — the all-to-peers exchange can therefore never
-deadlock on full kernel socket buffers, whatever the payload size.
+:meth:`~repro.dist.transport.Transport.send_window` therefore runs sends
+on a helper thread while the caller drains receives — the collectives use
+it so an all-to-peers exchange can never deadlock on full kernel socket
+buffers, whatever the payload size.
 
 Zero-copy data plane: sends go out with ``socket.sendmsg`` scatter-gather
 over the frame's header/payload views (header packed into a per-peer
@@ -405,53 +406,6 @@ class TcpTransport(Transport):
                 return frame
             self.ledger.record_recv(category, frame.nbytes)
             return frame
-
-    def exchange(
-        self,
-        outgoing: Dict[int, Frame],
-        expect: Set[int],
-        timeout: float,
-        category: str = CATEGORY_DATA,
-    ) -> Dict[int, Frame]:
-        """Windowed sends + multiplexed receives; immune to buffer deadlock.
-
-        The all-to-peers sends drain through a
-        :class:`~repro.dist.transport.SendWindow` pump thread while this
-        thread receives, so full kernel socket buffers can never deadlock
-        the collective, whatever the payload size.
-        """
-        window = self.send_window(window=1, name="exchange")
-        got: Dict[int, Frame] = {}
-        pending = set(expect)
-        try:
-            if outgoing:
-                window.submit(
-                    [(dst, frame, category) for dst, frame in outgoing.items()]
-                )
-            while pending:
-                frame = self.recv(timeout, category)
-                if frame.kind == FrameKind.HEARTBEAT:
-                    continue
-                if frame.kind == FrameKind.BYE:
-                    if frame.src in pending:
-                        raise RankFailure(
-                            f"rank {frame.src} said BYE while rank {self.rank} "
-                            "still expected its exchange payload"
-                        )
-                    continue
-                if frame.src in pending:
-                    pending.discard(frame.src)
-                    got[frame.src] = frame
-        except BaseException:
-            # the receive-side failure is the primary error; still reap
-            # the pump so its thread never outlives the exchange
-            try:
-                window.close(timeout=timeout)
-            except (TransportError, RankFailure, CommunicationError):
-                pass
-            raise
-        window.close(timeout=timeout)
-        return got
 
     def close(self) -> None:
         """Send ``BYE`` everywhere reachable, then close all sockets."""

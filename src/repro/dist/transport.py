@@ -118,8 +118,8 @@ class RecvArena:
 class Transport(abc.ABC):
     """Moves frames between ``size`` ranks; counts bytes into a ledger.
 
-    Subclasses implement :meth:`send`, :meth:`recv`, :meth:`exchange`, and
-    :meth:`close`; all of them must record traffic on ``self.ledger``.
+    Subclasses implement :meth:`send`, :meth:`recv`, and :meth:`close`;
+    all of them must record traffic on ``self.ledger``.
     """
 
     def __init__(self, rank: int, size: int, ledger: Optional[WireLedger] = None):
@@ -141,19 +141,6 @@ class Transport(abc.ABC):
 
         Raises :class:`TransportError` after ``timeout`` seconds with no
         frame, :class:`RankFailure` if a peer's stream ended abruptly.
-        """
-
-    @abc.abstractmethod
-    def exchange(
-        self,
-        outgoing: Dict[int, Frame],
-        expect: Set[int],
-        timeout: float,
-        category: str = CATEGORY_DATA,
-    ) -> Dict[int, Frame]:
-        """Send one frame per entry of ``outgoing`` while receiving one DATA
-        frame from every rank in ``expect`` — deadlock-free even when
-        payloads exceed transport buffering.  Returns ``{src: frame}``.
         """
 
     @abc.abstractmethod
@@ -406,34 +393,6 @@ class LocalTransport(Transport):
             return frame
         self.ledger.record_recv(category, frame.nbytes)
         return frame
-
-    def exchange(
-        self,
-        outgoing: Dict[int, Frame],
-        expect: Set[int],
-        timeout: float,
-        category: str = CATEGORY_DATA,
-    ) -> Dict[int, Frame]:
-        """Queue-backed exchange: sends never block, then drain receives."""
-        for dst, frame in outgoing.items():
-            self.send(dst, frame, category)
-        got: Dict[int, Frame] = {}
-        pending = set(expect)
-        while pending:
-            frame = self.recv(timeout, category)
-            if frame.kind == FrameKind.HEARTBEAT:
-                continue
-            if frame.kind == FrameKind.BYE:
-                if frame.src in pending:
-                    raise RankFailure(
-                        f"rank {frame.src} said BYE while rank {self.rank} "
-                        "still expected its exchange payload"
-                    )
-                continue
-            if frame.src in pending:
-                pending.discard(frame.src)
-                got[frame.src] = frame
-        return got
 
     def close(self) -> None:
         """Send ``BYE`` to every peer (once) and mark the endpoint closed."""

@@ -1,10 +1,14 @@
 """What one rank executes: the SPMD body of the low-comm pipeline.
 
-:func:`rank_main` is the same for every rank and for both transports:
+:func:`rank_main` is the one rank program — the same for every rank,
+both transports, one-shot runs and the standing pool, fresh runs and
+restore runs:
 
-1. rank 0 broadcasts the kernel spectrum and the input field;
+1. rank 0 broadcasts the kernel spectrum and the input field (and, in a
+   restore run, the merged checkpoint of the failed attempt);
 2. the rank convolves its round-robin share of sub-domains locally with
-   the warm pruned-plan path (zero communication — the paper's claim);
+   the warm pruned-plan path (zero communication — the paper's claim),
+   skipping every sub-domain the restore checkpoint already holds;
 3. the compressed results are packed into a
    :mod:`repro.core.checkpoint` blob, posted to the driver (this is the
    fault-tolerance state), and shipped to every peer in ONE
@@ -20,7 +24,9 @@ identical to :meth:`~repro.core.pipeline.LowCommConvolution3D.run_serial`.
 Fault injection lives here too: :class:`DistConfig` can name a rank and a
 pipeline stage at which that rank calls its ``abort`` hook (process exit
 for TCP, fabric kill for the loopback transport), which is how the
-recovery path is tested end to end.
+recovery path is tested end to end.  Recovery is a restore run of this
+same program: the survivors' posted checkpoints, merged, are handed back
+as ``restore`` and only the missing sub-domains are recomputed.
 """
 
 from __future__ import annotations
@@ -38,10 +44,10 @@ from repro.core.checkpoint import (
     join_checkpoint_segments,
 )
 from repro.core.pipeline import LowCommConvolution3D
-from repro.dist import copytrack
 from repro.dist.collectives import (
     TAG_EXCHANGE,
     TAG_FIELD,
+    TAG_POOL_CHECKPOINT,
     TAG_SPECTRUM,
     Communicator,
 )
@@ -51,6 +57,7 @@ from repro.errors import ConfigurationError
 from repro.octree.compress import CompressedField
 from repro.octree.interpolate import reconstruct_box
 from repro.serve.loadgen import parse_policy
+from repro.util import copytrack
 
 #: Stages at which an injected failure can trigger (see ``DistConfig``).
 #: The first three are the barrier-mode stages; the last three only fire
@@ -158,9 +165,9 @@ class RankResult:
     #: total wire send time of the stream, hidden + visible (0 in
     #: barrier mode, where sends are folded into ``exchange_s``)
     exchange_send_s: float = 0.0
-    #: this rank's :class:`~repro.dist.copytrack.CopyLedger` snapshot —
-    #: exact per-rank under the TCP transport (one process per rank,
-    #: ledger reset at child start); under the loopback transport the
+    #: this rank's :class:`~repro.util.copytrack.CopyLedger` snapshot —
+    #: exact per-rank under the TCP transport (one agent process per
+    #: rank, ledger reset at job start); under the loopback transport the
     #: ledger is process-global, so rank threads see shared totals
     copies: dict = dataclass_field(default_factory=dict)
 
@@ -229,6 +236,7 @@ def rank_main(
     post: Optional[Callable[[str, int, bytes], None]] = None,
     abort: Optional[Callable[[], None]] = None,
     plans=None,
+    restore: Optional[bytes] = None,
 ) -> RankResult:
     """Run one rank of the SPMD job; returns the rank's result.
 
@@ -250,6 +258,13 @@ def rank_main(
     plans:
         Optional shared plan cache, forwarded to :func:`build_pipeline`
         (the standing pool's warm-plan path).
+    restore:
+        Makes this a restore run.  Rank 0 passes the merged checkpoint
+        blob of a failed attempt and broadcasts it; every other rank
+        passes any bytes (``b""``) and receives it.  Each rank then
+        computes and exchanges only its own sub-domains missing from the
+        checkpoint, in barrier phases; the merge holds the same fields a
+        clean run would, so the result stays bitwise identical.
     """
     rank, size = comm.rank, comm.size
     if rank == 0:
@@ -262,13 +277,21 @@ def rank_main(
     else:
         spectrum = array_from_bytes(comm.broadcast(None, root=0, tag=TAG_SPECTRUM))
         field = array_from_bytes(comm.broadcast(None, root=0, tag=TAG_FIELD))
+    restored: Dict[int, CompressedField] = {}
+    if restore is not None:
+        blob = comm.broadcast(
+            restore if rank == 0 else None, root=0, tag=TAG_POOL_CHECKPOINT
+        )
+        restored = checkpoint_from_bytes(blob)
 
     pipeline = build_pipeline(config, spectrum, plans=plans)
 
-    if config.overlap:
+    if config.overlap and restore is None:
         phases = _streamed_phases(comm, config, pipeline, field, post, abort)
     else:
-        phases = _barrier_phases(comm, config, pipeline, field, post, abort)
+        phases = _barrier_phases(
+            comm, config, pipeline, field, post, abort, restored
+        )
     (
         own,
         merged,
@@ -282,6 +305,7 @@ def rank_main(
 
     # Accumulate over this rank's own sub-domain boxes, fields in
     # sub-domain index order (the run_serial order — bitwise identity).
+    merged.update(restored)
     ordered = [merged[i] for i in sorted(merged)]
     kk = config.k
     blocks: Dict[int, np.ndarray] = {}
@@ -342,14 +366,20 @@ def _barrier_phases(
     field: np.ndarray,
     post: Optional[Callable[[str, int, bytes], None]],
     abort: Optional[Callable[[], None]],
+    restored: Dict[int, CompressedField],
 ):
-    """Original phase structure: all compute, one checkpoint, ONE exchange."""
+    """All compute, one checkpoint, ONE exchange.
+
+    Sub-domains in ``restored`` are neither computed nor exchanged.
+    """
     rank = comm.rank
 
     # Phase 1: zero-communication local convolutions of this rank's share.
     t0 = time.perf_counter()
     own: List[Tuple[object, CompressedField]] = []
     for sub in _own_subdomains(pipeline, rank, comm.size):
+        if sub.index in restored:
+            continue
         compressed = _convolve_chunk(pipeline, field, sub)
         if compressed is not None:
             own.append((sub, compressed))

@@ -16,9 +16,9 @@ Layers:
 - :mod:`repro.pool.membership` — the generation-numbered
   :class:`Roster`: late-join admission, eviction, replacement seating,
   and stale-generation fencing.
-- :mod:`repro.pool.jobs` — job execution on the standing mesh:
-  parked-frame-safe collectives, per-job ledger deltas, and the
-  checkpoint-handoff recovery job.
+- :mod:`repro.pool.jobs` — job execution on the standing mesh: the one
+  rank program (``repro.dist.worker.rank_main``) with per-job ledger
+  deltas; a recovery job is its restore run.
 - :mod:`repro.pool.agent` — the long-lived rank agent process.
 - :mod:`repro.pool.pool` — :class:`RankPool`: the controller
   (``spawn``/``connect``/``submit``/``grow``/``down``) and the
@@ -26,13 +26,15 @@ Layers:
 - :mod:`repro.pool.cli` — ``python -m repro pool up|status|submit|down``.
 
 Everything is bitwise identical to ``run_serial`` — clean jobs, late
-joins, and mid-job rank death with checkpoint handoff alike.
+joins, and mid-job rank death with checkpoint handoff alike.  The pool
+is also what ``dist_run`` uses for its ``tcp`` transport: an ephemeral
+pool, spawned, connected, given one job, and taken down.
 """
 
 from repro.pool.agent import PoolAgent, agent_main, spawn_local_agents
-from repro.pool.jobs import PoolCommunicator, PoolJob, execute_job
+from repro.pool.jobs import PoolJob, execute_job
 from repro.pool.membership import Member, Roster
-from repro.pool.pool import JOB_DEADLINE_S, PoolJobReport, RankPool, pool_executor
+from repro.pool.pool import PoolJobReport, RankPool, pool_executor
 from repro.pool.rendezvous import (
     AgentCard,
     CoordinatorServer,
@@ -48,10 +50,8 @@ __all__ = [
     "AgentCard",
     "CoordinatorServer",
     "FileRendezvous",
-    "JOB_DEADLINE_S",
     "Member",
     "PoolAgent",
-    "PoolCommunicator",
     "PoolJob",
     "PoolJobReport",
     "RankPool",

@@ -10,16 +10,18 @@ the warm mesh — processes, transports, and FFT plans all persist across
 jobs, so only the first submission pays spawn + plan costs.
 
 Fault tolerance is in-mesh: when a rank dies mid-job (control
-connection EOF), the controller merges every checkpoint the job posted,
-seats a replacement at the dead member's rank
-(:meth:`~repro.pool.membership.Roster.replace` — it inherits the dead
-rank's sub-domain share), re-forms the mesh under the bumped
-generation, and resubmits the job as a *recovery job* carrying the
-merged checkpoint (:mod:`~repro.pool.jobs`).  Survivors restore their
-finished work; the replacement computes only the dead rank's missing
-share; the result stays bitwise identical to ``run_serial``.  Should
-the recovery job itself fail, the controller falls back to the
-driver-side :func:`~repro.dist.recover_from_checkpoints` path.
+connection EOF), the controller merges every checkpoint the job posted
+(:func:`~repro.dist.launcher.restore_point`), seats a replacement at
+the dead member's rank (:meth:`~repro.pool.membership.Roster.replace`
+— it inherits the dead rank's sub-domain share), re-forms the mesh
+under the bumped generation, and resubmits the job as a *recovery job*
+carrying the merged checkpoint: a restore run of the one rank program
+(:mod:`~repro.pool.jobs`).  Survivors restore their finished work; the
+replacement computes only the dead rank's missing share; the result
+stays bitwise identical to ``run_serial``.  Should the recovery job
+itself fail, the controller runs the same restore run inside the
+driver, as threads on an in-process fabric
+(:func:`~repro.dist.runtime.run_spmd`).
 
 Liveness rides the existing :class:`~repro.dist.heartbeat
 .HeartbeatMonitor`: every control-plane message records the member, and
@@ -30,22 +32,21 @@ decisive death signal is the control connection's EOF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace as dataclass_replace
+from dataclasses import dataclass, field as dataclass_field
 from multiprocessing.connection import Client, Connection, wait as connection_wait
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
-from repro.core.decomposition import DomainDecomposition
 from repro.dist.heartbeat import HeartbeatMonitor
 from repro.dist.launcher import (
     assemble_blocks,
     default_spectrum,
     expected_exchange_value_bytes,
-    recover_from_checkpoints,
+    restore_point,
 )
 from repro.dist.ledger import merge_wire_snapshots
+from repro.dist.runtime import RUN_DEADLINE_S, run_spmd
 from repro.dist.worker import DistConfig, RankResult, composite_field
 from repro.errors import ConfigurationError, PoolError, ReproError
 from repro.pool.agent import spawn_local_agents
@@ -58,10 +59,7 @@ from repro.pool.rendezvous import (
 )
 from repro.serve.clock import Clock, MonotonicClock
 
-__all__ = ["JOB_DEADLINE_S", "PoolJobReport", "RankPool", "pool_executor"]
-
-#: Overall deadline for one job on the mesh (mirrors the cold runtime's).
-JOB_DEADLINE_S = 120.0
+__all__ = ["PoolJobReport", "RankPool", "pool_executor"]
 
 #: Controller-side poll slice while waiting on control connections.
 _POOL_POLL_S = 0.02
@@ -422,11 +420,11 @@ class RankPool:
             m.rank for m in roster.members() if m.rank not in outcome.dead
         }
         by_conn = {self._conns[r]: r for r in pending}
-        deadline = self.clock.now() + JOB_DEADLINE_S
+        deadline = self.clock.now() + RUN_DEADLINE_S
         while pending:
             if self.clock.now() >= deadline:
                 raise PoolError(
-                    f"job {job.job_id} timed out after {JOB_DEADLINE_S}s "
+                    f"job {job.job_id} timed out after {RUN_DEADLINE_S}s "
                     f"with ranks {sorted(pending)} still running"
                 )
             ready = connection_wait(
@@ -464,15 +462,20 @@ class RankPool:
         spectrum: np.ndarray,
         t0: float,
     ) -> PoolJobReport:
-        """Replace the dead, re-form, resubmit with the merged checkpoint."""
+        """Replace the dead, re-form, resubmit as a restore run."""
         roster = self._require_roster()
-        config = job.config
-        merged = {}
-        for blob in outcome.blobs:
-            merged.update(checkpoint_from_bytes(blob))
+        point = restore_point(job.config, outcome.blobs)
         failed_ranks = sorted(outcome.dead | outcome.errored)
         replaced_ranks: List[int] = []
-
+        retry = PoolJob(
+            job_id=job.job_id,
+            generation=roster.generation,
+            config=point.config,
+            field=field,
+            spectrum=spectrum,
+            checkpoint=point.checkpoint,
+            metadata=job.metadata,
+        )
         try:
             for rank in sorted(outcome.dead):
                 replacement = self._replacement_card()
@@ -493,62 +496,42 @@ class RankPool:
                 self.monitor.watch(rank)
                 replaced_ranks.append(rank)
             self._form_mesh()
-            decomp = DomainDecomposition(n=config.n, k=config.k)
-            checkpoint = checkpoint_to_bytes(
-                [(decomp.subdomain(i), f) for i, f in sorted(merged.items())],
-                precision=config.precision,
-            )
-            # the retry must not re-inject the fault that killed attempt
-            # one — the replacement sits at the same rank the injection
-            # targets
-            retry_config = dataclass_replace(
-                config, fail_rank=None, fail_stage=None
-            )
-            retry = PoolJob(
-                job_id=job.job_id,
-                generation=roster.generation,
-                config=retry_config,
-                field=field,
-                spectrum=spectrum,
-                checkpoint=checkpoint,
-                metadata=job.metadata,
-            )
+            retry.generation = roster.generation
             retry_outcome = self._run_job(retry)
-            if retry_outcome.clean:
-                self._jobs_on_mesh += 1
-                report = self._report(
-                    retry,
-                    retry_outcome,
-                    field,
-                    t0,
-                    warm=False,
-                    recovered=True,
-                    exclude_indices=frozenset(merged),
-                )
-                report.failed_ranks = failed_ranks
-                report.replaced_ranks = replaced_ranks
-                return report
-            extra_blobs = retry_outcome.blobs
         except PoolError:
-            extra_blobs = []
-        # in-mesh recovery impossible (roster unfillable / retry failed):
-        # fall back to the driver-side checkpoint recovery
-        self._mesh_formed = False
-        approx = recover_from_checkpoints(
-            config, field, spectrum, outcome.blobs + extra_blobs
-        )
-        return PoolJobReport(
-            approx=approx,
-            config=config,
-            job_id=job.job_id,
-            generation=roster.generation,
-            elapsed_s=self.clock.now() - t0,
-            failed_ranks=failed_ranks,
-            replaced_ranks=replaced_ranks,
+            retry_outcome = None
+        driver_fallback = retry_outcome is None or not retry_outcome.clean
+        if driver_fallback:
+            # in-mesh recovery impossible (roster unfillable / retry
+            # failed): run the same restore run inside the driver
+            self._mesh_formed = False
+            retry.generation = roster.generation
+            local = run_spmd(
+                retry.config, field, spectrum, restore=retry.checkpoint
+            )
+            if not local.clean:
+                raise PoolError(
+                    f"job {job.job_id}: driver-side restore run failed on "
+                    f"ranks {sorted(local.failures)}: {local.failures}"
+                )
+            retry_outcome = _JobOutcome(
+                results={r: (res, {}) for r, res in local.results.items()}
+            )
+        else:
+            self._jobs_on_mesh += 1
+        report = self._report(
+            retry,
+            retry_outcome,
+            field,
+            t0,
+            warm=False,
             recovered=True,
-            driver_fallback=True,
-            metadata=job.metadata,
+            exclude_indices=point.restored,
         )
+        report.failed_ranks = failed_ranks
+        report.replaced_ranks = replaced_ranks
+        report.driver_fallback = driver_fallback
+        return report
 
     def _replacement_card(self) -> AgentCard:
         """A spare agent's card: prefer rendezvous spares, else spawn one."""

@@ -22,10 +22,9 @@ Sites are dotted strings whose first component names the plane:
     Explicit decodes into caller-owned buffers
     (:func:`repro.octree.serialize.deserialize_into`).
 
-This module lives in ``repro.util`` so the octree codec and the core
-checkpoint container can record into it without importing ``repro.dist``
-(which would be an import cycle); :mod:`repro.dist.copytrack` re-exports
-it as the public distributed-runtime API next to the wire ledger.
+This module lives in ``repro.util`` so the octree codec, the core
+checkpoint container, and the distributed runtime can all record into it
+without an import cycle.
 """
 
 from __future__ import annotations

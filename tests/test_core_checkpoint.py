@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.accumulate import accumulate_global
-from repro.core.checkpoint import (
-    checkpoint_from_bytes,
-    checkpoint_to_bytes,
-    recover_missing,
-)
-from repro.core.decomposition import DomainDecomposition
+from repro.core.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
 from repro.core.local_conv import LocalConvolution
 from repro.core.pipeline import LowCommConvolution3D
 from repro.core.policy import SamplingPolicy
+from repro.dist.launcher import assemble_blocks
+from repro.dist.runtime import run_spmd
+from repro.dist.worker import DistConfig
 from repro.errors import ConfigurationError
 from repro.kernels.gaussian import GaussianKernel
 
@@ -60,44 +57,50 @@ class TestCheckpointRoundtrip:
 
 
 class TestFailureRecovery:
+    """A restore run of the rank program over a ``LocalFabric``:
+    checkpointed sub-domains restore, only the missing ones recompute."""
+
+    CONFIG = DistConfig(
+        n=16, k=4, sigma=1.2, policy="flat:2", batch=64, num_ranks=3
+    )
+
     def test_recompute_only_missing(self, run):
-        """Drop one rank's chunks from the checkpoint; recovery recomputes
-        exactly those and the final result is identical."""
+        """Drop one rank's chunks from the checkpoint; the restore run
+        recomputes exactly those and the result is bitwise identical."""
         n, k, spec, pol, field, pipe, result = run
         # simulate rank 1 of 3 dying: its round-robin chunks are lost
         lost = {s.index for s, _f in result.per_domain if s.index % 3 == 1}
+        assert lost
         surviving = [
             (s, f) for s, f in result.per_domain if s.index not in lost
         ]
         blob = checkpoint_to_bytes(surviving)
-        restored = checkpoint_from_bytes(blob)
-        assert lost.isdisjoint(restored)
+        assert lost.isdisjoint(checkpoint_from_bytes(blob))
 
-        decomp = DomainDecomposition(n, k)
-        lc = LocalConvolution(n, spec, pol, batch=64)
-        recovered = recover_missing(restored, decomp, field, lc, pol)
-        assert {s.index for s, _f in recovered} == {
-            s.index for s, _f in result.per_domain
-        }
-        total = accumulate_global([f for _s, f in recovered])
-        np.testing.assert_allclose(total, result.approx, atol=1e-12)
+        outcome = run_spmd(self.CONFIG, field, spec, restore=blob)
+        assert outcome.clean
+        chunks = {r: res.num_chunks for r, res in outcome.results.items()}
+        assert chunks == {0: 0, 1: len(lost), 2: 0}
+        approx = assemble_blocks(self.CONFIG, outcome.results)
+        assert np.array_equal(approx, result.approx)
 
-    def test_full_checkpoint_recomputes_nothing(self, run):
+    def test_full_checkpoint_recomputes_nothing(self, run, monkeypatch):
         n, k, spec, pol, field, pipe, result = run
         blob = checkpoint_to_bytes(result.per_domain)
-        restored = checkpoint_from_bytes(blob)
 
         calls = []
-        lc = LocalConvolution(n, spec, pol, batch=64)
-        original = lc.convolve
+        original = LocalConvolution.convolve
 
-        def counting(*args, **kwargs):
+        def counting(self, *args, **kwargs):
             calls.append(1)
-            return original(*args, **kwargs)
+            return original(self, *args, **kwargs)
 
-        lc.convolve = counting  # type: ignore[method-assign]
-        recover_missing(restored, DomainDecomposition(n, k), field, lc, pol)
+        monkeypatch.setattr(LocalConvolution, "convolve", counting)
+        outcome = run_spmd(self.CONFIG, field, spec, restore=blob)
+        assert outcome.clean
         assert not calls
+        approx = assemble_blocks(self.CONFIG, outcome.results)
+        assert np.array_equal(approx, result.approx)
 
 
 class TestCheckpointCorruption:

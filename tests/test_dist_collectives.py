@@ -9,6 +9,7 @@ from repro.dist.collectives import Communicator
 from repro.dist.heartbeat import HeartbeatMonitor
 from repro.dist.transport import LocalFabric
 from repro.errors import CommunicationError, RankFailure, TransportError
+from repro.serve.clock import ManualClock
 
 
 def _communicators(size, **kwargs):
@@ -44,6 +45,19 @@ class TestPointToPoint:
         _fabric, (_a, b) = _communicators(2)
         with pytest.raises(TransportError, match="timed out"):
             b.recv_payload(0, tag=1, timeout=0.1)
+
+    def test_deadlines_run_on_the_injected_clock(self):
+        clock = ManualClock()
+        fabric = LocalFabric(2)
+        comm = Communicator(fabric.endpoint(1), recv_timeout_s=60.0, clock=clock)
+        # the wall clock never reaches 60 s; the injected one does
+        timer = threading.Timer(0.3, clock.advance, args=(61.0,))
+        timer.start()
+        try:
+            with pytest.raises(TransportError, match="timed out after 60.0s"):
+                comm.recv_payload(0, tag=1)
+        finally:
+            timer.cancel()
 
     def test_rank_size_properties(self):
         _fabric, (a, b) = _communicators(2)
@@ -122,6 +136,19 @@ class TestCollectives:
     def test_barrier_completes(self):
         _fabric, comms = _communicators(3)
         assert _run_all(comms, lambda c: c.barrier() or True) == [True] * 3
+
+    def test_allgather_parks_early_next_phase_frame(self):
+        """A fast peer's next-phase frame that arrives ahead of its
+        allgather payload is parked, not mistaken for the payload, and a
+        later receive of that phase gets it."""
+        _fabric, comms = _communicators(2)
+        comms[0].send_payload(1, b"next phase", tag=9)
+
+        def run(comm):
+            return comm.sparse_allgather(f"r{comm.rank}".encode(), tag=3)
+
+        assert _run_all(comms, run) == [[b"r0", b"r1"]] * 2
+        assert comms[1].recv_payload(0, tag=9, timeout=1.0) == b"next phase"
 
     def test_dead_peer_fails_allgather(self):
         fabric, comms = _communicators(3)

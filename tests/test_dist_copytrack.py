@@ -12,7 +12,6 @@ stays within 1% of the Eq 6 prediction.
 import numpy as np
 import pytest
 
-from repro.dist import copytrack as dist_copytrack
 from repro.dist.collectives import TAG_EXCHANGE
 from repro.dist.launcher import default_spectrum, dist_run
 from repro.dist.wire import Frame, FrameKind, encode_frame
@@ -70,11 +69,6 @@ class TestCopyLedger:
         )
         assert blob == b"abcd"
         assert copytrack.ledger().bytes_copied("wire.frame_join") == 4
-
-    def test_dist_reexport_is_the_same_ledger(self):
-        assert dist_copytrack.ledger() is copytrack.ledger()
-        assert dist_copytrack.SITE_FRAME_JOIN == copytrack.SITE_FRAME_JOIN
-        assert dist_copytrack.CopyLedger is copytrack.CopyLedger
 
 
 def _own_fields(config, field, spectrum, rank):

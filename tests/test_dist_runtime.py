@@ -11,6 +11,8 @@ The PR's acceptance bar, as tests:
   exactly, triangulating model, simulation and wire.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,35 @@ def test_cli_dist_run_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "bitwise identical to run_serial" in out
     assert "True" in out
+
+
+def test_cli_dist_run_exits_one_on_mismatch(capsys, monkeypatch):
+    import repro.dist.launcher as launcher
+
+    real_dist_run = launcher.dist_run
+
+    def perturbed(*args, **kwargs):
+        report = real_dist_run(*args, **kwargs)
+        report.approx = report.approx.copy()
+        report.approx.flat[0] += 1e-12
+        return report
+
+    monkeypatch.setattr(launcher, "dist_run", perturbed)
+    code = main(
+        [
+            "dist-run",
+            "--ranks",
+            "2",
+            "--transport",
+            "local",
+            "--n",
+            "16",
+            "--k",
+            "4",
+            "--policy",
+            "flat:2",
+        ]
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    assert re.search(r"bitwise identical to run_serial\s*\|\s*False", out)

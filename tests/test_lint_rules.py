@@ -275,11 +275,13 @@ class TestWireTagRule:
 
     def test_real_registry_is_the_single_home(self):
         # the shipped tree keeps every TAG_* in dist/collectives.py,
-        # including the pool checkpoint tag this rule forced home
-        from repro.dist import collectives
-        from repro.pool import jobs
+        # including the restore-checkpoint tag this rule forced home
+        from repro.dist import collectives, worker
 
-        assert jobs.TAG_POOL_CHECKPOINT == collectives.TAG_POOL_CHECKPOINT
+        assert worker.TAG_POOL_CHECKPOINT is collectives.TAG_POOL_CHECKPOINT
+        src = REPO / "src" / "repro"
+        engine = LintEngine([rule_by_id("TAG001")])
+        assert engine.run([src / "dist", src / "pool"]) == []
 
 
 class TestGenerationFenceRule:

@@ -152,6 +152,27 @@ class TestRankDeathRecovery:
         assert not clean.recovered
         assert np.array_equal(clean.approx, _serial(config, field, spectrum))
 
+    def test_unfillable_roster_falls_back_to_driver_restore_run(
+        self, pool_at, monkeypatch
+    ):
+        pool = pool_at(2)
+        config = _config(2, fail_rank=1, fail_stage="before_checkpoint")
+        field = composite_field(config.n, config.seed)
+        spectrum = default_spectrum(config)
+
+        def no_spare():
+            raise PoolError("no spare agent")
+
+        monkeypatch.setattr(pool, "_replacement_card", no_spare)
+        report = pool.submit(config, field=field, spectrum=spectrum)
+        assert report.recovered and report.driver_fallback
+        assert 1 in report.failed_ranks
+        assert report.replaced_ranks == []
+        assert np.array_equal(report.approx, _serial(config, field, spectrum))
+        # the driver-side restore run recomputed only the lost share
+        assert report.rank_results[0].num_chunks == 0
+        assert report.rank_results[1].num_chunks > 0
+
     def test_recover_false_surfaces_the_failure(self, pool_at):
         pool = pool_at(2)
         config = _config(2, fail_rank=1, fail_stage="before_checkpoint")
